@@ -162,6 +162,7 @@ impl GlobalBuffer {
         self.read_set.overflow_pending() || self.write_set.overflow_pending()
     }
 
+    #[inline]
     fn split(addr: Addr, size: u64) -> Result<(Addr, u64), BufferError> {
         if size == 0 || (size < WORD_BYTES && !WORD_BYTES.is_multiple_of(size)) {
             return Err(BufferError::UnsupportedSize);
@@ -192,6 +193,7 @@ impl GlobalBuffer {
     /// Speculatively load `size` bytes at `addr`, stamping any new
     /// read-set entry with the commit-log epoch observed *before* the
     /// memory read (see the ordering protocol in [`CommitLog`]).
+    #[inline]
     pub fn load_logged(
         &mut self,
         mem: &dyn MainMemory,
@@ -202,32 +204,41 @@ impl GlobalBuffer {
         self.stats.loads += 1;
         let (word_addr, offset) = Self::split(addr, size)?;
         let mask = byte_mask(offset, size.min(WORD_BYTES))?;
-        let word = self.load_word(mem, log, word_addr)?;
-        // Overlay any bytes the thread itself has written.
         let word = match self.write_set.get(word_addr) {
-            Some(w) => (word & !w.mask) | (w.data & w.mask),
-            None => word,
+            // A word fully covered by the thread's own writes carries no
+            // read dependence; skip the read-set so no false conflict can
+            // arise.
+            Some(w) if w.mask == u64::MAX => w.data,
+            // Overlay the bytes the thread itself has written.
+            Some(w) => (self.load_word(mem, log, word_addr)? & !w.mask) | (w.data & w.mask),
+            None => self.load_word(mem, log, word_addr)?,
         };
         Ok((word & mask) >> (offset * 8))
     }
 
-    /// Load a full word, recording it in the read-set on first access.
+    /// Load a full word through the read-set, recording it on first
+    /// access.
+    #[inline]
     fn load_word(
         &mut self,
         mem: &dyn MainMemory,
         log: Option<&CommitLog>,
         word_addr: Addr,
     ) -> Result<u64, BufferError> {
-        // A word fully covered by the thread's own writes carries no read
-        // dependence; skip the read-set so no false conflict can arise.
-        if let Some(w) = self.write_set.get(word_addr) {
-            if w.mask == u64::MAX {
-                return Ok(w.data);
-            }
+        match self.read_set.get(word_addr) {
+            Some(r) => Ok(r.data),
+            None => self.load_miss(mem, log, word_addr),
         }
-        if let Some(r) = self.read_set.get(word_addr) {
-            return Ok(r.data);
-        }
+    }
+
+    /// Read-set miss: read main memory and record the word.
+    #[inline(never)]
+    fn load_miss(
+        &mut self,
+        mem: &dyn MainMemory,
+        log: Option<&CommitLog>,
+        word_addr: Addr,
+    ) -> Result<u64, BufferError> {
         self.stats.memory_loads += 1;
         // Sample the owning shard's epoch BEFORE reading the word: a
         // commit racing in between then stamps a higher version and
@@ -257,6 +268,7 @@ impl GlobalBuffer {
     }
 
     /// Speculatively store the low `size` bytes of `value` at `addr`.
+    #[inline]
     pub fn store(&mut self, addr: Addr, value: u64, size: u64) -> Result<(), BufferError> {
         self.stats.stores += 1;
         let (word_addr, offset) = Self::split(addr, size)?;
@@ -734,6 +746,41 @@ mod tests {
         assert_eq!(buf.load(&mem, p.addr_of(16), 8).unwrap(), 16);
         buf.commit(&mem);
         assert_eq!(mem.get(&p, 17), 17);
+    }
+
+    /// Stores a default-configured buffer accepts before `OverflowFull`,
+    /// for word indices counted from the arena base.
+    fn stores_before_overflow(indices: impl Iterator<Item = u64>) -> u64 {
+        let mut buf = GlobalBuffer::new(BufferConfig::default());
+        let mut accepted = 0;
+        for idx in indices {
+            let addr = GlobalMemory::BASE_ADDR + idx * WORD_BYTES;
+            match buf.store(addr, idx, WORD_BYTES) {
+                Ok(()) => accepted += 1,
+                Err(e) => {
+                    assert_eq!(e, BufferError::OverflowFull);
+                    break;
+                }
+            }
+        }
+        accepted
+    }
+
+    #[test]
+    fn default_write_set_capacity_is_pinned() {
+        // Contiguous words: every direct slot, then the overflow area.
+        assert_eq!(stores_before_overflow(0..), 65_536 + 1_024);
+        // The paper's 512x512 mandelbrot image in 64 chunks, in the order
+        // its speculative chunk chain stores it: chunk 1's rows, then
+        // chunk 2's, and so on.  Rows 128 apart share slots, so the set
+        // overflows long before it fills.
+        let (width, height, chunks) = (512u64, 512u64, 64u64);
+        let row_interleaved = (1..chunks).flat_map(|chunk| {
+            (chunk..height)
+                .step_by(chunks as usize)
+                .flat_map(move |row| (0..width).map(move |col| row * width + col))
+        });
+        assert_eq!(stores_before_overflow(row_interleaved), 2_048);
     }
 
     #[test]

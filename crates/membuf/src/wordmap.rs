@@ -1,21 +1,38 @@
 //! The static-memory, word-granular hash map of MUTLS (paper §IV-G2).
 //!
 //! The paper avoids dynamically growing hash maps (whose rehashing cost
-//! would land on the speculative fast path) by using three statically sized
-//! arrays:
+//! would land on the speculative fast path) by using statically sized,
+//! direct-mapped storage: a word address `a` lives in slot
+//! `(a / 8) & (capacity - 1)` or, when that slot already holds another
+//! address, in a small *temporary overflow area*.  When the overflow area
+//! is used the thread should stop at the next check point and wait to be
+//! joined; when it is full the thread rolls back.
 //!
-//! * `buffer`    — one data word per slot,
-//! * `addresses` — the word-aligned address occupying a slot (0 = empty),
-//! * `offsets`   — a stack of used slot indices so that validation, commit
-//!   and finalization of threads touching little data stay proportional to
-//!   the amount of data actually touched, not the capacity,
+//! Each slot is one 32-byte `[addr, data, mask, version]` record, so a
+//! lookup touches a single cache line instead of one line per parallel
+//! array (the paper's separate `buffer` / `addresses` / `mark` arrays):
 //!
-//! plus a per-byte `mark` array recording which bytes of a buffered word
-//! have actually been written (needed for sub-word stores), and a small
-//! *temporary overflow buffer* used when two distinct addresses hash to the
-//! same slot.  When the overflow buffer is used the thread should stop at
-//! the next check point and wait to be joined; when it is full the thread
-//! rolls back.
+//! * `addr`    — the word-aligned address occupying the slot (0 = empty;
+//!   the arena never hands out address 0),
+//! * `data`    — the buffered word,
+//! * `mask`    — per-byte mark of the bytes actually written (write-set) or
+//!   read (read-set), needed for sub-word stores,
+//! * `version` — the commit-log snapshot taken at first insertion.
+//!
+//! The slot array is allocated zeroed (`vec![[0; 4]; n]` is backed by a
+//! zeroing allocation), so the pages of a large, sparsely used map never
+//! become resident.  A separate stack of used slot indices (the paper's
+//! `offsets`) keeps iteration, validation, commit and [`clear`]
+//! proportional to the data actually touched, not the capacity.
+//!
+//! **Empty-slot invariant:** an address enters the overflow area only when
+//! its slot holds a *different* address, and slots are freed only by
+//! [`clear`], which empties the overflow area too.  So an address whose
+//! slot is empty is in neither place, and [`get`] answers `None` from the
+//! slot alone without scanning the overflow area.
+//!
+//! [`clear`]: WordMap::clear
+//! [`get`]: WordMap::get
 
 use crate::error::BufferError;
 use crate::memory::{Addr, WORD_BYTES};
@@ -43,6 +60,27 @@ pub struct WordEntry {
     pub version: u64,
 }
 
+/// One direct-mapped slot: `[addr, data, mask, version]`.  A plain `u64`
+/// array (rather than a struct) so `vec![EMPTY; n]` uses a zeroing
+/// allocation instead of writing every slot.
+type Slot = [u64; 4];
+
+const ADDR: usize = 0;
+const DATA: usize = 1;
+const MASK: usize = 2;
+const VERSION: usize = 3;
+const EMPTY: Slot = [0; 4];
+
+#[inline]
+fn entry(slot: &Slot) -> WordEntry {
+    WordEntry {
+        addr: slot[ADDR],
+        data: slot[DATA],
+        mask: slot[MASK],
+        version: slot[VERSION],
+    }
+}
+
 /// Result of probing the direct-mapped array for an address.
 enum Probe {
     /// Slot index is empty.
@@ -56,13 +94,8 @@ enum Probe {
 /// Statically sized word-granular hash map with linear overflow area.
 #[derive(Debug)]
 pub struct WordMap {
-    capacity: usize,
     slot_mask: u64,
-    data: Vec<u64>,
-    marks: Vec<u64>,
-    addresses: Vec<Addr>,
-    /// Commit-log version stamped at first insertion (read-set snapshot).
-    versions: Vec<u64>,
+    slots: Vec<Slot>,
     /// Stack of used slot indices ("offsets" in the paper).
     used: Vec<u32>,
     overflow: Vec<WordEntry>,
@@ -79,12 +112,8 @@ impl WordMap {
     pub fn new(capacity_words: usize, overflow_capacity: usize) -> Self {
         let capacity = capacity_words.max(8).next_power_of_two();
         WordMap {
-            capacity,
             slot_mask: (capacity as u64) - 1,
-            data: vec![0; capacity],
-            marks: vec![0; capacity],
-            addresses: vec![0; capacity],
-            versions: vec![0; capacity],
+            slots: vec![EMPTY; capacity],
             used: Vec::with_capacity(capacity.min(1024)),
             overflow: Vec::with_capacity(overflow_capacity.min(64)),
             overflow_capacity,
@@ -94,7 +123,7 @@ impl WordMap {
 
     /// Number of direct-mapped slots.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Number of distinct words currently buffered (direct + overflow).
@@ -118,13 +147,10 @@ impl WordMap {
         self.overflow.len()
     }
 
-    fn slot_of(&self, addr: Addr) -> usize {
-        ((addr / WORD_BYTES) & self.slot_mask) as usize
-    }
-
+    #[inline]
     fn probe(&self, addr: Addr) -> Probe {
-        let slot = self.slot_of(addr);
-        let occupant = self.addresses[slot];
+        let slot = ((addr / WORD_BYTES) & self.slot_mask) as usize;
+        let occupant = self.slots[slot][ADDR];
         if occupant == 0 {
             Probe::Empty(slot)
         } else if occupant == addr {
@@ -134,17 +160,23 @@ impl WordMap {
         }
     }
 
+    fn overflow_entry(&mut self, addr: Addr) -> Option<&mut WordEntry> {
+        self.overflow.iter_mut().find(|e| e.addr == addr)
+    }
+
     /// Look up the buffered word for `addr` (word aligned).
+    #[inline]
     pub fn get(&self, addr: Addr) -> Option<WordEntry> {
         debug_assert_eq!(addr % WORD_BYTES, 0);
         match self.probe(addr) {
-            Probe::Found(slot) => Some(WordEntry {
-                addr,
-                data: self.data[slot],
-                mask: self.marks[slot],
-                version: self.versions[slot],
-            }),
-            Probe::Empty(_) => self.overflow.iter().find(|e| e.addr == addr).copied(),
+            Probe::Found(slot) => Some(entry(&self.slots[slot])),
+            Probe::Empty(_) => {
+                debug_assert!(
+                    self.overflow.iter().all(|e| e.addr != addr),
+                    "{addr:#x} is in the overflow area but its slot is empty"
+                );
+                None
+            }
             Probe::Conflict => self.overflow.iter().find(|e| e.addr == addr).copied(),
         }
     }
@@ -155,6 +187,7 @@ impl WordMap {
     /// Returns [`BufferError::OverflowPending`] when the insert had to use
     /// the overflow area (the data *is* recorded) and
     /// [`BufferError::OverflowFull`] when it could not be recorded at all.
+    #[inline]
     pub fn merge(&mut self, addr: Addr, value: u64, mask: u64) -> Result<(), BufferError> {
         self.merge_versioned(addr, value, mask, 0)
     }
@@ -164,6 +197,7 @@ impl WordMap {
     /// time).  Updating an existing entry keeps the *original* version:
     /// for the read-set, the first read's snapshot is the one dependence
     /// validation must check.
+    #[inline]
     pub fn merge_versioned(
         &mut self,
         addr: Addr,
@@ -174,38 +208,46 @@ impl WordMap {
         debug_assert_eq!(addr % WORD_BYTES, 0, "unaligned word address {addr:#x}");
         match self.probe(addr) {
             Probe::Found(slot) => {
-                self.data[slot] = (self.data[slot] & !mask) | (value & mask);
-                self.marks[slot] |= mask;
+                let slot = &mut self.slots[slot];
+                slot[DATA] = (slot[DATA] & !mask) | (value & mask);
+                slot[MASK] |= mask;
                 Ok(())
             }
             Probe::Empty(slot) => {
-                self.addresses[slot] = addr;
-                self.data[slot] = value & mask;
-                self.marks[slot] = mask;
-                self.versions[slot] = version;
+                self.slots[slot] = [addr, value & mask, mask, version];
                 self.used.push(slot as u32);
                 Ok(())
             }
-            Probe::Conflict => {
-                if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == addr) {
-                    e.data = (e.data & !mask) | (value & mask);
-                    e.mask |= mask;
-                    self.overflow_pending = true;
-                    return Err(BufferError::OverflowPending);
-                }
-                if self.overflow.len() >= self.overflow_capacity {
-                    return Err(BufferError::OverflowFull);
-                }
-                self.overflow.push(WordEntry {
-                    addr,
-                    data: value & mask,
-                    mask,
-                    version,
-                });
-                self.overflow_pending = true;
-                Err(BufferError::OverflowPending)
-            }
+            Probe::Conflict => self.merge_overflow(addr, value, mask, version),
         }
+    }
+
+    /// The hash-conflict arm of [`merge_versioned`](Self::merge_versioned).
+    #[cold]
+    fn merge_overflow(
+        &mut self,
+        addr: Addr,
+        value: u64,
+        mask: u64,
+        version: u64,
+    ) -> Result<(), BufferError> {
+        if let Some(e) = self.overflow_entry(addr) {
+            e.data = (e.data & !mask) | (value & mask);
+            e.mask |= mask;
+            self.overflow_pending = true;
+            return Err(BufferError::OverflowPending);
+        }
+        if self.overflow.len() >= self.overflow_capacity {
+            return Err(BufferError::OverflowFull);
+        }
+        self.overflow.push(WordEntry {
+            addr,
+            data: value & mask,
+            mask,
+            version,
+        });
+        self.overflow_pending = true;
+        Err(BufferError::OverflowPending)
     }
 
     /// Insert a whole word (mask = all bytes).  Convenience for the
@@ -215,6 +257,7 @@ impl WordMap {
     }
 
     /// Insert a whole word stamped with a commit-log version.
+    #[inline]
     pub fn insert_word_versioned(
         &mut self,
         addr: Addr,
@@ -224,21 +267,22 @@ impl WordMap {
         self.merge_versioned(addr, value, u64::MAX, version)
     }
 
+    /// The stored version of `addr`, if the word is buffered.
+    fn version_mut(&mut self, addr: Addr) -> Option<&mut u64> {
+        match self.probe(addr) {
+            Probe::Found(slot) => Some(&mut self.slots[slot][VERSION]),
+            Probe::Empty(_) => None,
+            Probe::Conflict => self.overflow_entry(addr).map(|e| &mut e.version),
+        }
+    }
+
     /// Lower the stored version of `addr` to `version` if the entry exists
     /// and currently carries a newer stamp.  Used when two threads' read
     /// sets are merged: the *oldest* snapshot is the one every later
     /// commit must be checked against.
     pub fn weaken_version(&mut self, addr: Addr, version: u64) {
-        if let Probe::Found(slot) = self.probe(addr) {
-            if self.versions[slot] > version {
-                self.versions[slot] = version;
-            }
-            return;
-        }
-        if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == addr) {
-            if e.version > version {
-                e.version = version;
-            }
+        if let Some(v) = self.version_mut(addr) {
+            *v = (*v).min(version);
         }
     }
 
@@ -249,16 +293,8 @@ impl WordMap {
     /// re-validation time, so only commits *after* the retry can flag it
     /// again.  (The dual of [`weaken_version`](Self::weaken_version).)
     pub fn refresh_version(&mut self, addr: Addr, version: u64) {
-        if let Probe::Found(slot) = self.probe(addr) {
-            if self.versions[slot] < version {
-                self.versions[slot] = version;
-            }
-            return;
-        }
-        if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == addr) {
-            if e.version < version {
-                e.version = version;
-            }
+        if let Some(v) = self.version_mut(addr) {
+            *v = (*v).max(version);
         }
     }
 
@@ -267,12 +303,7 @@ impl WordMap {
     pub fn iter(&self) -> impl Iterator<Item = WordEntry> + '_ {
         self.used
             .iter()
-            .map(move |&slot| WordEntry {
-                addr: self.addresses[slot as usize],
-                data: self.data[slot as usize],
-                mask: self.marks[slot as usize],
-                version: self.versions[slot as usize],
-            })
+            .map(move |&slot| entry(&self.slots[slot as usize]))
             .chain(self.overflow.iter().copied())
     }
 
@@ -280,10 +311,7 @@ impl WordMap {
     /// (finalization cost is proportional to the data accessed).
     pub fn clear(&mut self) {
         for &slot in &self.used {
-            self.addresses[slot as usize] = 0;
-            self.data[slot as usize] = 0;
-            self.marks[slot as usize] = 0;
-            self.versions[slot as usize] = 0;
+            self.slots[slot as usize] = EMPTY;
         }
         self.used.clear();
         self.overflow.clear();
@@ -296,6 +324,7 @@ impl WordMap {
 /// on a little-endian layout.
 ///
 /// `size` must be 1, 2, 4 or 8 and the access must not straddle the word.
+#[inline]
 pub fn byte_mask(offset_in_word: u64, size: u64) -> Result<u64, BufferError> {
     if !matches!(size, 1 | 2 | 4 | 8) {
         return Err(BufferError::UnsupportedSize);

@@ -7,8 +7,9 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use mutls_membuf::{
-    AddressSpace, BufferConfig, CommitLog, CommitLogConfig, GlobalBuffer, GlobalMemory, MainMemory,
-    WordMap, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_BYTES, WORD_GRAIN_LOG2,
+    AddressSpace, BufferConfig, BufferError, CommitLog, CommitLogConfig, GlobalBuffer,
+    GlobalMemory, MainMemory, WordEntry, WordMap, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_BYTES,
+    WORD_GRAIN_LOG2,
 };
 
 /// Arbitrary word-aligned address within a small arena.
@@ -27,7 +28,151 @@ fn word_log() -> CommitLog {
     CommitLog::with_config(CommitLogConfig::word_grain(), 0)
 }
 
+/// Direct-mapped slots of the overflowing [`WordMap`] model test.
+const MODEL_SLOTS: u64 = 8;
+
+/// Reference model of a [`WordMap`]: a `HashMap` of buffered words plus
+/// the bookkeeping that decides where each word lives — which address
+/// owns each slot (first insert since the last clear wins) and the
+/// overflow area in insertion order.
+#[derive(Default)]
+struct WordMapModel {
+    words: HashMap<u64, WordEntry>,
+    slot_owner: HashMap<u64, u64>,
+    direct: Vec<u64>,
+    overflow: Vec<u64>,
+    overflow_capacity: usize,
+    pending: bool,
+}
+
+impl WordMapModel {
+    fn slot(addr: u64) -> u64 {
+        (addr / WORD_BYTES) % MODEL_SLOTS
+    }
+
+    fn merge(&mut self, addr: u64, value: u64, mask: u64, version: u64) -> Result<(), BufferError> {
+        let spilled = match self.slot_owner.get(&Self::slot(addr)) {
+            Some(&owner) => owner != addr,
+            None => {
+                self.slot_owner.insert(Self::slot(addr), addr);
+                self.direct.push(addr);
+                false
+            }
+        };
+        if spilled && !self.words.contains_key(&addr) {
+            if self.overflow.len() >= self.overflow_capacity {
+                return Err(BufferError::OverflowFull);
+            }
+            self.overflow.push(addr);
+        }
+        let e = self.words.entry(addr).or_insert(WordEntry {
+            addr,
+            data: 0,
+            mask: 0,
+            version,
+        });
+        e.data = (e.data & !mask) | (value & mask);
+        e.mask |= mask;
+        if spilled {
+            self.pending = true;
+            Err(BufferError::OverflowPending)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn clear(&mut self) {
+        let capacity = self.overflow_capacity;
+        *self = WordMapModel {
+            overflow_capacity: capacity,
+            ..Default::default()
+        };
+    }
+
+    fn entries(&self) -> Vec<WordEntry> {
+        self.direct
+            .iter()
+            .chain(&self.overflow)
+            .map(|a| self.words[a])
+            .collect()
+    }
+}
+
 proptest! {
+    /// The WordMap matches its reference model at a tiny capacity where
+    /// hash conflicts spill into (and exhaust) the overflow area: merges
+    /// under partial masks, versioned inserts, version weakening and
+    /// refreshing, and clear-then-reuse cycles all agree on every result,
+    /// `len`, the overflow flags, every lookup and the iteration order.
+    #[test]
+    fn overflowing_wordmap_matches_reference_model(
+        overflow_capacity in 1usize..5,
+        ops in proptest::collection::vec((0u32..16, 1u64..40, any::<u64>(), 0u64..16), 1..300),
+    ) {
+        // Whole word, low/high half, a middle half-word, the top byte.
+        let masks = [
+            u64::MAX,
+            0x0000_0000_FFFF_FFFF,
+            0xFFFF_FFFF_0000_0000,
+            0x0000_0000_FFFF_0000,
+            0xFF00_0000_0000_0000,
+        ];
+        let mut map = WordMap::new(MODEL_SLOTS as usize, overflow_capacity);
+        let mut model = WordMapModel { overflow_capacity, ..Default::default() };
+        for (kind, word, value, version) in ops {
+            let addr = word * WORD_BYTES;
+            match kind {
+                0..=5 => {
+                    let mask = masks[(value % masks.len() as u64) as usize];
+                    prop_assert_eq!(
+                        map.merge(addr, value, mask),
+                        model.merge(addr, value, mask, 0)
+                    );
+                }
+                6..=10 => prop_assert_eq!(
+                    map.insert_word_versioned(addr, value, version),
+                    model.merge(addr, value, u64::MAX, version)
+                ),
+                11 | 12 => {
+                    map.weaken_version(addr, version);
+                    if let Some(e) = model.words.get_mut(&addr) {
+                        e.version = e.version.min(version);
+                    }
+                }
+                13 | 14 => {
+                    map.refresh_version(addr, version);
+                    if let Some(e) = model.words.get_mut(&addr) {
+                        e.version = e.version.max(version);
+                    }
+                }
+                _ => {
+                    map.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(map.len(), model.words.len());
+            prop_assert_eq!(map.is_empty(), model.words.is_empty());
+            prop_assert_eq!(map.overflow_len(), model.overflow.len());
+            prop_assert_eq!(map.overflow_pending(), model.pending);
+            let entries: Vec<WordEntry> = map.iter().collect();
+            prop_assert_eq!(&entries, &model.entries());
+            for w in 1..40 {
+                let a = w * WORD_BYTES;
+                prop_assert_eq!(map.get(a), model.words.get(&a).copied(), "get({:#x})", a);
+            }
+            // Empty-slot invariant: every overflow entry's slot holds a
+            // different, directly mapped address.
+            let (direct, spilled) = entries.split_at(entries.len() - map.overflow_len());
+            for e in spilled {
+                let slot = WordMapModel::slot(e.addr);
+                prop_assert!(
+                    direct.iter().any(|d| WordMapModel::slot(d.addr) == slot && d.addr != e.addr),
+                    "overflow entry {:#x} sits on an empty slot", e.addr
+                );
+            }
+        }
+    }
+
     /// The WordMap behaves like a HashMap for whole-word inserts as long
     /// as its overflow area is not exhausted.
     #[test]

@@ -204,6 +204,7 @@ impl SpecContext {
     /// join-time validation can detect writes committed by logical
     /// predecessors *after* this read; non-speculatively it reads main
     /// memory directly.
+    #[inline]
     pub fn spec_read(&mut self, addr: Addr) -> SpecResult<u64> {
         self.stats.counters.loads += 1;
         self.poll_abort()?;
@@ -233,6 +234,7 @@ impl SpecContext {
     /// what dooms any in-flight logical successor that already read the
     /// address (the store is a commit by definition — the non-speculative
     /// thread is always logically earliest).
+    #[inline]
     pub fn spec_write(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.stats.counters.stores += 1;
         self.poll_abort()?;
@@ -365,6 +367,7 @@ impl SpecContext {
         Ok(())
     }
 
+    #[inline]
     fn poll_abort(&mut self) -> SpecResult<()> {
         self.op_counter = self.op_counter.wrapping_add(1);
         if self.op_counter.is_multiple_of(ABORT_POLL_INTERVAL) {
@@ -552,6 +555,8 @@ impl SpecContext {
                 .map(crate::manager::CommitKind::retried)
                 .unwrap_or(false),
         );
+        // The cleared buffer serves the next task forked onto this CPU.
+        self.mgr.recycle_buffer(child, outcome.buffers.global);
         self.mgr.release_cpu(child, self.rank);
         verdict
     }
@@ -565,10 +570,12 @@ impl TlsContext for SpecContext {
         self.poll_abort()
     }
 
+    #[inline]
     fn load_word(&mut self, addr: Addr) -> SpecResult<u64> {
         self.spec_read(addr)
     }
 
+    #[inline]
     fn store_word(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.spec_write(addr, value)
     }

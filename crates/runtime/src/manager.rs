@@ -127,6 +127,10 @@ pub(crate) struct Slot {
     sender: Sender<WorkerMsg>,
     result: Mutex<Option<SpecOutcome>>,
     result_cv: Condvar,
+    /// The cleared global buffer of this CPU's last joined task, handed to
+    /// the next task forked onto it (see
+    /// [`ThreadManager::make_buffers`]).
+    spare: Mutex<Option<GlobalBuffer>>,
 }
 
 impl Slot {
@@ -144,6 +148,7 @@ impl Slot {
             sender,
             result: Mutex::new(None),
             result_cv: Condvar::new(),
+            spare: Mutex::new(None),
         }
     }
 
@@ -391,11 +396,13 @@ impl ThreadManager {
     }
 
     /// Shared main memory arena.
+    #[inline]
     pub fn memory(&self) -> &Arc<GlobalMemory> {
         &self.memory
     }
 
     /// The shared commit log every published write is recorded in.
+    #[inline]
     pub fn commit_log(&self) -> &CommitLog {
         &self.commit_log
     }
@@ -416,6 +423,7 @@ impl ThreadManager {
     /// registered (allocation *is* registration, as in §IV-G1 where heap
     /// allocation calls are intercepted); explicitly registered ranges are
     /// honoured in addition.
+    #[inline]
     pub fn range_registered(&self, addr: Addr, len: u64) -> bool {
         if addr >= GlobalMemory::BASE_ADDR && addr + len <= self.memory.allocated_bytes() {
             return true;
@@ -1541,16 +1549,40 @@ impl ThreadManager {
     /// the rank in the commit log's reader registry on every first-touch
     /// read; in cascade mode the registry is bypassed entirely (the true
     /// pre-registry baseline, zero registration overhead).
+    ///
+    /// The global buffer is reused: a CPU keeps the cleared buffer of its
+    /// last committed or rolled-back join and hands it to the next task
+    /// forked onto it, so only a CPU's first fork allocates one.  Reaped,
+    /// discarded and adopted threads drop their buffers, and the CPU's
+    /// next fork allocates again.
     pub fn make_buffers(&self, rank: Rank) -> ThreadBuffers {
-        let global = if self.config.recovery.mode == RecoveryMode::Targeted {
-            GlobalBuffer::for_reader(self.config.buffer, rank)
-        } else {
-            GlobalBuffer::new(self.config.buffer)
-        };
+        let spare = rank
+            .checked_sub(1)
+            .and_then(|i| self.slots.get(i))
+            .and_then(|slot| slot.spare.lock().take());
+        let global = spare.unwrap_or_else(|| {
+            if self.config.recovery.mode == RecoveryMode::Targeted {
+                GlobalBuffer::for_reader(self.config.buffer, rank)
+            } else {
+                GlobalBuffer::new(self.config.buffer)
+            }
+        });
         ThreadBuffers {
             global,
             local: LocalBuffer::new(self.config.local_buffer),
         }
+    }
+
+    /// Keep the cleared global buffer of a task joined on virtual CPU
+    /// `rank` for the next task forked onto it.  Must be called before
+    /// [`release_cpu`](Self::release_cpu) frees the CPU for a new fork.
+    pub(crate) fn recycle_buffer(&self, rank: Rank, buffer: GlobalBuffer) {
+        debug_assert!(
+            buffer.read_set_len() == 0 && buffer.write_set_len() == 0,
+            "only a cleared buffer may be reused"
+        );
+        debug_assert!(buffer.reader() == 0 || buffer.reader() == rank);
+        *self.slots[rank - 1].spare.lock() = Some(buffer);
     }
 }
 
