@@ -1,16 +1,17 @@
 //! The shared commit log: the versioned view of main memory that makes
 //! cross-thread conflict detection *real* instead of injected.
 //!
-//! Every write that reaches main memory — a direct store by the
-//! non-speculative thread or a committed speculative write-set — is
-//! recorded here as one *commit batch*.  A speculative read stamps its
-//! read-set entry with the version snapshot observed at read time;
-//! join-time validation then asks, per read entry, whether any logically
-//! earlier work committed a write covering that address *after* the read
-//! ([`CommitLog::written_after`]).  This detects exactly the
-//! read-before-predecessor-write dependences MUTLS read-set validation is
-//! specified to catch (paper §IV-F), including the value-ABA case a pure
-//! value comparison would miss.
+//! Every write that reaches main memory while a speculative read could
+//! still be validated against it — a direct store by the non-speculative
+//! thread made while some speculative task can commit, or a committed
+//! speculative write-set — is recorded here as one *commit batch*.  A
+//! speculative read stamps its read-set entry with the version snapshot
+//! observed at read time; join-time validation then asks, per read entry,
+//! whether any logically earlier work committed a write covering that
+//! address *after* the read ([`CommitLog::written_after`]).  This detects
+//! exactly the read-before-predecessor-write dependences MUTLS read-set
+//! validation is specified to catch (paper §IV-F), including the
+//! value-ABA case a pure value comparison would miss.
 //!
 //! ## Range granularity — now per region, live
 //!
@@ -830,6 +831,11 @@ pub struct CommitLog {
     /// Ring probes that fell back to single-version conservatism
     /// ([`RingCheck::Overflow`]); relaxed, telemetry only.
     ring_overflows: AtomicU64,
+    /// One past the highest dense region any mutator touched since the
+    /// last [`clear`](Self::clear) (0: none).  Every dense slot, ring
+    /// entry, reader mask and region word that can be nonzero lies in a
+    /// region below it, so `clear` resets only that prefix.
+    touched_regions: AtomicU64,
 }
 
 impl Default for CommitLog {
@@ -923,6 +929,7 @@ impl CommitLog {
             reader_spills: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
             ring_overflows: AtomicU64::new(0),
+            touched_regions: AtomicU64::new(0),
         }
     }
 
@@ -972,6 +979,20 @@ impl CommitLog {
     /// window.
     fn region_is_dense(&self, region: RegionId) -> bool {
         (region >> self.shard_bits) < self.regions_per_shard
+    }
+
+    /// Raise the touched-region mark to cover `region` (a no-op outside
+    /// the dense window, whose sparse maps `clear` empties wholesale).
+    /// The load keeps the common case, a region already below the mark,
+    /// free of RMWs.
+    #[inline]
+    fn touch(&self, region: RegionId) {
+        let end = region.saturating_add(1);
+        if end <= self.region_grains.len() as u64
+            && end > self.touched_regions.load(Ordering::Relaxed)
+        {
+            self.touched_regions.fetch_max(end, Ordering::Relaxed);
+        }
     }
 
     /// Locate `addr`'s slot at grain `grain_log2`.
@@ -1291,6 +1312,7 @@ impl CommitLog {
                     // regrains flip it under this same lock, so the
                     // stamp below always lands on a live slot.
                     let g = self.grain_of_region(region);
+                    self.touch(region);
                     cached = Some((region, g));
                     g
                 }
@@ -1393,6 +1415,7 @@ impl CommitLog {
             }
             return stamped;
         }
+        self.touch(region);
         let seq = &self.region_seqs[region as usize];
         loop {
             let before = seq.load(Ordering::SeqCst);
@@ -1471,7 +1494,8 @@ impl CommitLog {
 
     /// Whether this batch's lock-hold time should be measured: every
     /// `2^LOCK_SAMPLE_LOG2`-th batch is timed and its duration scaled up,
-    /// so the hot publish path (every non-speculative store goes through
+    /// so the hot publish path (a non-speculative store made while a
+    /// speculative task could still commit goes through
     /// [`record_word`](Self::record_word)) pays the two clock reads only
     /// on a small fraction of commits.
     fn lock_time_sampled(&self) -> bool {
@@ -1521,6 +1545,7 @@ impl CommitLog {
             // Grain read inside the lock (see `publish_run_locked`).
             match self.slot_at(addr, self.grain_of_region(region)) {
                 Slot::Dense { local, .. } => {
+                    self.touch(region);
                     self.ring_merge(shard, local, version, footprint_bit(addr));
                     shard.dense[local].store(version, Ordering::Relaxed);
                     self.bump_region_stamps(region);
@@ -1577,6 +1602,7 @@ impl CommitLog {
         if self.region_grains[idx].load(Ordering::Relaxed) == new_grain {
             return (shard.epoch.load(Ordering::Relaxed), ReaderSet::default());
         }
+        self.touch(region);
         let block = (region >> self.shard_bits) as usize * self.slots_per_region;
         let version;
         let mut bits = 0u64;
@@ -1666,6 +1692,7 @@ impl CommitLog {
             }
             match self.slot_of(addr) {
                 Slot::Dense { local, .. } => {
+                    self.touch(region);
                     if bit == READER_SPILL_BIT {
                         shard
                             .readers_spill_dense
@@ -1923,6 +1950,7 @@ impl CommitLog {
         let region = self.region_of(addr);
         if let Ok(idx) = usize::try_from(region) {
             if idx < self.region_stats.len() {
+                self.touch(region);
                 self.region_stats[idx]
                     .conflicts
                     .fetch_add(1, Ordering::Relaxed);
@@ -1941,6 +1969,7 @@ impl CommitLog {
         let region = self.region_of(addr);
         if let Ok(idx) = usize::try_from(region) {
             if idx < self.region_stats.len() {
+                self.touch(region);
                 self.region_stats[idx]
                     .retries
                     .fetch_add(1, Ordering::Relaxed);
@@ -2041,17 +2070,29 @@ impl CommitLog {
     /// Forget everything (start of a new speculative region run): stamps,
     /// registries, telemetry, and every region's grain back to the
     /// initial grain.
+    ///
+    /// Only the regions below the touched-region mark can hold state, so
+    /// only their slots, rings, reader masks and region words are reset:
+    /// the cost follows what the last run touched, not the arena size.
+    /// Must not race the log's mutators (the runtime clears between
+    /// runs, with every speculative thread idle).
     pub fn clear(&self) {
+        let regions = self.touched_regions.load(Ordering::Relaxed) as usize;
+        // Region `r` is block `r >> shard_bits` of shard `r & shard_mask`,
+        // so regions `[0, regions)` lie in each shard's first
+        // `ceil(regions / shards)` blocks.
+        let slots = regions.div_ceil(self.shards.len()) * self.slots_per_region;
+        let depth = self.config.ring_depth as usize;
         for shard in &self.shards {
             let _guard = shard.slow_lock.lock();
-            for v in &shard.dense {
+            for v in &shard.dense[..slots] {
                 v.store(0, Ordering::Relaxed);
             }
-            for v in &shard.rings {
+            for v in &shard.rings[..(slots * depth).min(shard.rings.len())] {
                 v.store(0, Ordering::Relaxed);
             }
             shard.sparse.write().clear();
-            for r in &shard.readers_dense {
+            for r in &shard.readers_dense[..slots] {
                 r.store(0, Ordering::Relaxed);
             }
             shard.readers_spill_dense.write().clear();
@@ -2059,18 +2100,19 @@ impl CommitLog {
             shard.readers_spill_sparse.write().clear();
             shard.epoch.store(0, Ordering::Release);
         }
-        for grain in &self.region_grains {
+        for grain in &self.region_grains[..regions] {
             grain.store(self.initial_grain, Ordering::Release);
         }
-        for seq in &self.region_seqs {
+        for seq in &self.region_seqs[..regions] {
             seq.store(0, Ordering::Release);
         }
-        for stats in &self.region_stats {
+        for stats in &self.region_stats[..regions] {
             stats.stamps.store(0, Ordering::Relaxed);
             stats.conflicts.store(0, Ordering::Relaxed);
             stats.false_sharing.store(0, Ordering::Relaxed);
             stats.retries.store(0, Ordering::Relaxed);
         }
+        self.touched_regions.store(0, Ordering::Relaxed);
         self.commits.store(0, Ordering::Relaxed);
         self.stamped.store(0, Ordering::Relaxed);
         self.regrains.store(0, Ordering::Relaxed);
@@ -2079,6 +2121,34 @@ impl CommitLog {
         self.reader_spills.store(0, Ordering::Relaxed);
         self.cas_retries.store(0, Ordering::Relaxed);
         self.ring_overflows.store(0, Ordering::Relaxed);
+    }
+
+    /// Whether the log is in its freshly cleared state, by a full scan of
+    /// every slot, ring entry, reader mask, map and region word (tests of
+    /// the bounded [`clear`](Self::clear)).
+    #[cfg(test)]
+    fn is_clear(&self) -> bool {
+        let zero = |v: &AtomicU64| v.load(Ordering::Relaxed) == 0;
+        let shards_clear = self.shards.iter().all(|shard| {
+            zero(&shard.epoch)
+                && shard.dense.iter().all(zero)
+                && shard.rings.iter().all(zero)
+                && shard.readers_dense.iter().all(zero)
+                && shard.sparse.read().is_empty()
+                && shard.readers_spill_dense.read().is_empty()
+                && shard.readers_sparse.read().is_empty()
+                && shard.readers_spill_sparse.read().is_empty()
+        });
+        let regions_clear = (0..self.region_grains.len()).all(|idx| {
+            let stats = &self.region_stats[idx];
+            self.region_grains[idx].load(Ordering::Relaxed) == self.initial_grain
+                && self.region_seqs[idx].load(Ordering::Relaxed) == 0
+                && zero(&stats.stamps)
+                && zero(&stats.conflicts)
+                && zero(&stats.false_sharing)
+                && zero(&stats.retries)
+        });
+        shards_clear && regions_clear && zero(&self.touched_regions) && self.commits() == 0
     }
 }
 
@@ -2485,6 +2555,83 @@ mod tests {
                 ..Default::default()
             }
         );
+    }
+
+    /// The log under one of eight configurations: shard count, ring
+    /// depth and commit protocol, with regions starting coarse so that a
+    /// grain flip back to the initial grain is observable.
+    fn varied_log(variant: u64, dense_bytes: u64) -> CommitLog {
+        let mut config = CommitLogConfig::word_grain()
+            .shards(if variant & 1 == 0 { 1 } else { 4 })
+            .ring_depth(if variant & 2 == 0 { 1 } else { 4 });
+        if variant & 4 != 0 {
+            config = config.locked();
+        }
+        CommitLog::with_initial_grain(config, dense_bytes, LINE_GRAIN_LOG2)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bounded_clear_resets_everything_any_mutator_touched(
+            variant in 0u64..8,
+            ops in proptest::collection::vec((0u64..7, 0u64..(1 << 17), 1usize..70), 1..24),
+        ) {
+            // A 64 KiB dense window: addresses up to 128 KiB also reach
+            // the sparse fallback.
+            let log = varied_log(variant, 1 << 16);
+            proptest::prop_assert!(log.is_clear());
+            for round in 0..2 {
+                for &(kind, addr, rank) in &ops {
+                    let addr = addr & !7;
+                    match kind {
+                        0 => {
+                            log.record([addr, addr ^ 0x1040, addr.wrapping_add(8)]);
+                        }
+                        1 => {
+                            log.record_word(addr);
+                        }
+                        2 => {
+                            log.register_reader(addr, rank);
+                        }
+                        3 => {
+                            let grain = [WORD_GRAIN_LOG2, PAGE_GRAIN_LOG2][rank & 1];
+                            log.regrain(log.region_of(addr), grain);
+                        }
+                        4 => log.note_conflict(addr, rank & 1 == 0),
+                        5 => log.note_retry(addr),
+                        _ => {
+                            log.register_reader(addr, rank);
+                            log.take_readers([addr]);
+                        }
+                    }
+                }
+                log.clear();
+                proptest::prop_assert!(log.is_clear(), "round {round}, variant {variant}");
+            }
+        }
+    }
+
+    #[test]
+    fn clear_resets_only_below_the_touched_region_mark() {
+        let log = varied_log(3, 1 << 20);
+        assert!(log.is_clear());
+        assert_eq!(log.touched_regions.load(Ordering::Relaxed), 0);
+        // Reads and lookups touch nothing.
+        log.snapshot(5 << 12);
+        log.version_of(5 << 12);
+        log.probe_written(5 << 12, 0);
+        assert_eq!(log.touched_regions.load(Ordering::Relaxed), 0);
+        log.record_word(5 << 12);
+        log.register_reader(2 << 12, 70);
+        assert_eq!(log.touched_regions.load(Ordering::Relaxed), 6);
+        // Beyond the dense window the sparse maps hold the state.
+        log.record_word(1 << 21);
+        assert_eq!(log.touched_regions.load(Ordering::Relaxed), 6);
+        log.regrain(9, PAGE_GRAIN_LOG2);
+        assert_eq!(log.touched_regions.load(Ordering::Relaxed), 10);
+        assert!(!log.is_clear());
+        log.clear();
+        assert!(log.is_clear());
     }
 
     #[test]

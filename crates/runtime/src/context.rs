@@ -229,11 +229,29 @@ impl SpecContext {
     /// Write one word of shared program data.
     ///
     /// Speculatively the store lands in the thread's write-set and stays
-    /// private until the join commits it; non-speculatively the store is
-    /// published immediately **and recorded in the commit log**, which is
-    /// what dooms any in-flight logical successor that already read the
-    /// address (the store is a commit by definition — the non-speculative
+    /// private until the join commits it.  Non-speculatively the store
+    /// goes straight to main memory.  While some speculative task could
+    /// still commit ([`ThreadManager::committable_speculations`] is
+    /// nonzero), it is also **recorded in the commit log** and dooms the
+    /// registered readers of its range: that is what makes an in-flight
+    /// logical successor that already read the address fail validation
+    /// (the store is a commit by definition, since the non-speculative
     /// thread is always logically earliest).
+    ///
+    /// While no task is committable the record and the doom are skipped,
+    /// and the store costs little more than a `DirectContext` store.  This
+    /// is sound in every recovery mode and commit protocol:
+    ///
+    /// * Only rank 0 or a counted task can fork, so the count cannot rise
+    ///   behind rank 0's back: it reads 0 only if it really is 0.
+    /// * A task rank 0 forks later is dispatched through the worker's
+    ///   channel after the store, so it reads the new value; its read
+    ///   stamp cannot be older than the range's version, which the
+    ///   skipped record never bumped.
+    /// * A task that left the count by depositing a failure is rolled
+    ///   back without validation, and a released task is never validated
+    ///   again.
+    /// * Every counted task still sees every rank-0 store published.
     #[inline]
     pub fn spec_write(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.stats.counters.stores += 1;
@@ -243,6 +261,9 @@ impl SpecContext {
                 // Memory first, then the version bump (see `CommitLog`'s
                 // ordering protocol).
                 self.mgr.memory().write_word(addr, value);
+                if self.mgr.committable_speculations() == 0 {
+                    return Ok(());
+                }
                 self.mgr.commit_log().record_word(addr);
                 // The store is a commit by definition (rank 0 is always
                 // logically earliest): doom its registered readers now —

@@ -87,6 +87,20 @@ pub struct SpecRequest {
 const CPU_IDLE: u8 = 0;
 const CPU_RUNNING: u8 = 1;
 
+/// One in-flight task in [`ThreadManager::tasks`]' high half; the low
+/// half counts the committable ones.
+const ACTIVE_ONE: u64 = 1 << 32;
+
+/// In-flight speculative tasks in a packed [`ThreadManager::tasks`] word.
+fn active_of(tasks: u64) -> u64 {
+    tasks >> 32
+}
+
+/// Committable speculative tasks in a packed [`ThreadManager::tasks`] word.
+fn committable_of(tasks: u64) -> u64 {
+    tasks & (ACTIVE_ONE - 1)
+}
+
 /// Per-virtual-CPU slot.
 pub(crate) struct Slot {
     state: std::sync::atomic::AtomicU8,
@@ -108,6 +122,11 @@ pub(crate) struct Slot {
     /// Set when nobody will ever join this thread; the worker cleans up
     /// after itself in that case.
     orphaned: AtomicBool,
+    /// Set while the running task is counted as committable (see
+    /// [`ThreadManager::committable_speculations`]); swapped off by
+    /// whichever retirement comes first, so each task leaves the count
+    /// exactly once.
+    committable: AtomicBool,
     /// Fork-site ID the running task was launched from (governor key).
     site: AtomicU32,
     /// `ForkModel::index()` of the model the task was launched under.
@@ -141,6 +160,7 @@ impl Slot {
             doomed: AtomicBool::new(false),
             doomed_hard: AtomicBool::new(false),
             orphaned: AtomicBool::new(false),
+            committable: AtomicBool::new(false),
             site: AtomicU32::new(0),
             model: AtomicU8::new(ForkModel::Mixed.index() as u8),
             forked_ns: AtomicU64::new(0),
@@ -237,8 +257,13 @@ pub struct ThreadManager {
     /// Rank of the most recently speculated thread still in flight
     /// (0 = none); used by the in-order forking model.
     most_speculative: AtomicUsize,
-    /// Number of speculative threads currently in flight.
-    active: AtomicUsize,
+    /// Speculative tasks in flight (high 32 bits) and how many of them
+    /// can still commit (low 32 bits), packed so that one RMW counts a
+    /// fork and every update sees both halves at once.  A task leaves
+    /// the committable half when it deposits a failure (it is rolled
+    /// back without validation) or when its CPU is released, whichever
+    /// comes first; it leaves the in-flight half on release.
+    tasks: AtomicU64,
     accum: Mutex<RunAccumulators>,
     rng: Mutex<SmallRng>,
     /// Monotone counter of speculation events (diagnostics).
@@ -319,7 +344,7 @@ impl ThreadManager {
             address_space: RwLock::new(space),
             slots,
             most_speculative: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
+            tasks: AtomicU64::new(0),
             accum: Mutex::new(RunAccumulators::default()),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed)),
             speculations: AtomicU64::new(0),
@@ -509,7 +534,23 @@ impl ThreadManager {
 
     /// Number of speculative threads currently in flight.
     pub fn active_speculations(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        active_of(self.tasks.load(Ordering::Relaxed)) as usize
+    }
+
+    /// Number of in-flight speculative tasks that may still be validated
+    /// and committed: dispatched, not yet released, and not known to have
+    /// failed.  While it reads 0 no speculative read can ever be checked
+    /// against a non-speculative store, so rank 0 skips publishing its
+    /// stores (see [`SpecContext::spec_write`]).
+    #[inline]
+    pub fn committable_speculations(&self) -> usize {
+        committable_of(self.tasks.load(Ordering::Acquire)) as usize
+    }
+
+    /// Take `slot`'s task out of the committable count if it is still in
+    /// it; returns how many tasks left (0 or 1).
+    fn retire(slot: &Slot) -> u64 {
+        u64::from(slot.committable.swap(false, Ordering::AcqRel))
     }
 
     // ----- fork path -------------------------------------------------
@@ -522,7 +563,7 @@ impl ThreadManager {
     pub fn model_allows_fork(&self, forker: Rank, model: ForkModel) -> bool {
         let forker_is_spec = forker != 0;
         let most = self.most_speculative.load(Ordering::Acquire);
-        let is_most = if self.active.load(Ordering::Acquire) == 0 {
+        let is_most = if active_of(self.tasks.load(Ordering::Acquire)) == 0 {
             !forker_is_spec
         } else {
             forker == most
@@ -535,7 +576,7 @@ impl ThreadManager {
     pub fn try_acquire_cpu(&self, forker: Rank, model: ForkModel) -> Option<Rank> {
         let forker_is_spec = forker != 0;
         let most = self.most_speculative.load(Ordering::Acquire);
-        let is_most = if self.active.load(Ordering::Acquire) == 0 {
+        let is_most = if active_of(self.tasks.load(Ordering::Acquire)) == 0 {
             !forker_is_spec
         } else {
             forker == most
@@ -559,7 +600,11 @@ impl ThreadManager {
                     Ordering::Release,
                 );
                 *slot.result.lock() = None;
-                self.active.fetch_add(1, Ordering::AcqRel);
+                // Counted committable before the dispatch, so every rank-0
+                // store from here on is published for it.
+                slot.committable.store(true, Ordering::Release);
+                let prev = self.tasks.fetch_add(ACTIVE_ONE + 1, Ordering::AcqRel);
+                debug_assert!(committable_of(prev) <= active_of(prev));
                 self.most_speculative.store(rank, Ordering::Release);
                 self.speculations.fetch_add(1, Ordering::Relaxed);
                 let registry = self.metrics.registry();
@@ -779,6 +824,13 @@ impl ThreadManager {
     /// must clean up after itself.
     pub fn deposit_outcome(&self, rank: Rank, outcome: SpecOutcome) -> bool {
         let slot = &self.slots[rank - 1];
+        // A failed task is rolled back without validation, so it stops
+        // counting as committable now — before the deposit, while the
+        // slot cannot yet be released and handed to a new task.
+        if matches!(outcome.status, TaskStatus::Failed(_)) && Self::retire(slot) == 1 {
+            let prev = self.tasks.fetch_sub(1, Ordering::AcqRel);
+            debug_assert!(committable_of(prev) >= 1);
+        }
         {
             let mut guard = slot.result.lock();
             *guard = Some(outcome);
@@ -798,8 +850,13 @@ impl ThreadManager {
     /// Release a virtual CPU after its outcome has been consumed.
     pub fn release_cpu(&self, rank: Rank, joiner: Rank) {
         let slot = &self.slots[rank - 1];
+        // Retire before the CPU goes idle: afterwards the flag may belong
+        // to the next task forked onto it.
+        let retired = Self::retire(slot);
         slot.state.store(CPU_IDLE, Ordering::Release);
-        self.active.fetch_sub(1, Ordering::AcqRel);
+        let prev = self.tasks.fetch_sub(ACTIVE_ONE + retired, Ordering::AcqRel);
+        debug_assert!(active_of(prev) >= 1 && committable_of(prev) >= retired);
+        debug_assert!(committable_of(prev) - retired < active_of(prev));
         self.metrics
             .registry()
             .gauge_add(GaugeId::InFlightSpeculations, -1);
@@ -809,6 +866,19 @@ impl ThreadManager {
             Ordering::AcqRel,
             Ordering::Relaxed,
         );
+    }
+
+    /// Wait until every virtual CPU is idle.  A subtree reaped during a
+    /// run unwinds on its own workers after its joiner has moved on;
+    /// waiting for it at the end of the run keeps the tasks of one run
+    /// from overlapping the next run's [`reset_run`](Self::reset_run).
+    /// Reaped tasks poll their abort flag every few hundred memory
+    /// operations, so the wait is short.
+    pub fn wait_idle(&self) {
+        while self.active_speculations() != 0 {
+            std::thread::yield_now();
+        }
+        debug_assert_eq!(self.committable_speculations(), 0);
     }
 
     /// Record a discarded (rolled back / orphaned) speculative thread.
@@ -1719,6 +1789,147 @@ mod tests {
             stats: ThreadStats::new(),
             finished_at: Instant::now(),
         }
+    }
+
+    /// `(in flight, committable)` speculative task counts.
+    fn counts(m: &ThreadManager) -> (usize, usize) {
+        (m.active_speculations(), m.committable_speculations())
+    }
+
+    /// An outcome with `status` wrapping fresh buffers for `rank`.
+    fn outcome(m: &ThreadManager, rank: Rank, status: TaskStatus) -> SpecOutcome {
+        SpecOutcome {
+            status,
+            ..completed(m.make_buffers(rank))
+        }
+    }
+
+    /// Join `rank` the way `SpecContext::join_child` does: take the
+    /// outcome, validate, release.
+    fn join(m: &ThreadManager, rank: Rank) -> Result<CommitKind, SpecFailure> {
+        let mut taken = m.wait_outcome(rank);
+        let verdict = m.validate_and_commit(rank, &mut taken, None);
+        m.release_cpu(rank, 0);
+        verdict
+    }
+
+    #[test]
+    fn committable_count_follows_join_commit_and_rollback() {
+        let m = mgr(2);
+        let mem = Arc::clone(m.memory());
+        let cell = mem.alloc::<u64>(1);
+        assert_eq!(counts(&m), (0, 0));
+
+        let a = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        let b = m.try_acquire_cpu(a, ForkModel::Mixed).unwrap();
+        assert_eq!(counts(&m), (2, 2), "counted at acquire, before dispatch");
+        assert!(m.deposit_outcome(b, completed(m.make_buffers(b))));
+        assert_eq!(counts(&m), (2, 2), "a completed task may still commit");
+        assert!(join(&m, b).is_ok());
+        assert_eq!(counts(&m), (1, 1));
+
+        // A stale read: the join rolls back, and the count still drops
+        // exactly once, on release.
+        let mut stale = m.make_buffers(a);
+        let _ = stale
+            .global
+            .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
+            .unwrap();
+        mem.set(&cell, 0, 9);
+        m.commit_log().record_word(cell.addr_of(0));
+        assert!(m.deposit_outcome(a, completed(stale)));
+        assert_eq!(join(&m, a), Err(SpecFailure::ReadConflict));
+        assert_eq!(counts(&m), (0, 0));
+    }
+
+    #[test]
+    fn failed_deposit_retires_before_the_join_and_only_once() {
+        let m = mgr(1);
+        let rank = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        let failed = outcome(&m, rank, TaskStatus::Failed(SpecFailure::BufferOverflow));
+        assert!(m.deposit_outcome(rank, failed));
+        assert_eq!(counts(&m), (1, 0), "a failed task is never validated");
+        assert_eq!(join(&m, rank), Err(SpecFailure::BufferOverflow));
+        assert_eq!(counts(&m), (0, 0), "no second decrement at release");
+        // The CPU's next task is counted afresh.
+        let next = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        assert_eq!(counts(&m), (1, 1));
+        assert!(m.deposit_outcome(next, completed(m.make_buffers(next))));
+        assert!(join(&m, next).is_ok());
+        assert_eq!(counts(&m), (0, 0));
+    }
+
+    #[test]
+    fn committable_count_follows_reaps_and_drains() {
+        let m = mgr(3);
+        // Reaped before it deposits: the worker's own deposit finishes
+        // the discard (`finish_discarded` via the orphaned deposit).
+        let early = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        m.reap_subtree(early);
+        assert_eq!(counts(&m), (1, 1), "still running until it deposits");
+        let aborted = outcome(&m, early, TaskStatus::Failed(SpecFailure::Cascaded));
+        assert!(!m.deposit_outcome(early, aborted), "orphaned deposit");
+        assert_eq!(counts(&m), (0, 0));
+
+        // Reaped after a completed deposit: discarded on the spot.
+        let late = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        assert!(m.deposit_outcome(late, completed(m.make_buffers(late))));
+        m.reap_subtree(late);
+        assert_eq!(counts(&m), (0, 0));
+
+        // Drained with a deposited child in its subtree.
+        let root = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        let child = m.try_acquire_cpu(root, ForkModel::Mixed).unwrap();
+        assert!(m.deposit_outcome(child, completed(m.make_buffers(child))));
+        let mut root_outcome = completed(m.make_buffers(root));
+        root_outcome.children.push(child);
+        assert!(m.deposit_outcome(root, root_outcome));
+        assert_eq!(counts(&m), (2, 2));
+        m.drain_subtree(root);
+        assert_eq!(counts(&m), (0, 0));
+        m.wait_idle();
+    }
+
+    #[test]
+    fn committable_count_follows_adoption() {
+        let m = mgr(3);
+        let mem = Arc::clone(m.memory());
+        let cell = mem.alloc::<u64>(1);
+
+        // Success: the adopted thread commits and releases its CPU.
+        let clean = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        assert!(m.deposit_outcome(clean, completed(m.make_buffers(clean))));
+        assert_eq!(m.adopt_subtree(clean, None), 1);
+        assert_eq!(counts(&m), (0, 0));
+
+        // Failure: a stale read fails validation and is discarded.
+        let stale = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        let mut buffers = m.make_buffers(stale);
+        let _ = buffers
+            .global
+            .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
+            .unwrap();
+        mem.set(&cell, 0, 9);
+        m.commit_log().record_word(cell.addr_of(0));
+        assert!(m.deposit_outcome(stale, completed(buffers)));
+        assert_eq!(m.adopt_subtree(stale, None), 0);
+        assert_eq!(counts(&m), (0, 0));
+
+        // A failed deposit is discarded without validation.
+        let failed = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        let status = TaskStatus::Failed(SpecFailure::BufferOverflow);
+        assert!(m.deposit_outcome(failed, outcome(&m, failed, status)));
+        assert_eq!(counts(&m), (1, 0));
+        assert_eq!(m.adopt_subtree(failed, None), 0);
+        assert_eq!(counts(&m), (0, 0));
+
+        // Still running: reaped, and counted until its orphaned deposit.
+        let running = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        assert_eq!(m.adopt_subtree(running, None), 0);
+        assert_eq!(counts(&m), (1, 1));
+        let status = TaskStatus::Failed(SpecFailure::Cascaded);
+        assert!(!m.deposit_outcome(running, outcome(&m, running, status)));
+        assert_eq!(counts(&m), (0, 0));
     }
 
     #[test]

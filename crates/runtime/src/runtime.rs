@@ -142,6 +142,7 @@ impl Runtime {
         for child in unjoined {
             self.mgr.drain_subtree(child);
         }
+        self.mgr.wait_idle();
         let runtime = started.elapsed().as_nanos() as u64;
         let totals = self.mgr.run_snapshot();
         let report = RunReport {

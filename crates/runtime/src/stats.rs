@@ -267,7 +267,9 @@ pub struct RunReport {
     /// sorted by site ID (empty when no fork point was reached).
     pub sites: Vec<SiteProfile>,
     /// Commit-log activity (batches, range stamps, commit-lock time) —
-    /// the sharding/grain cost the `grain` sweep reports.  Simulated runs
+    /// the sharding/grain cost the `grain` sweep reports.  Native runs
+    /// count rank-0 stores only while a speculative task could commit
+    /// (quiescent stores are not published).  Simulated runs
     /// fill the batch/stamp counters from their publish model and leave
     /// the wall-clock lock time zero.
     pub commit_log: CommitLogStats,
